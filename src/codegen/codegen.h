@@ -4,9 +4,10 @@
  * evaluation plan (rtl::buildEvalPlan) to specialized C++ — one
  * straight-line eval() over the flat slot array plus one commit() for
  * the clock edge, with widths, masks, immediates and memory bounds
- * baked in as constants. The emitted translation unit is what the JIT
- * (codegen/jit.h) hands to the host toolchain; sim::Simulator calls
- * the resulting functions behind sim::Backend::Compiled.
+ * baked in as constants. The emitted translation units are what the JIT
+ * (codegen/jit.h) compiles concurrently and links into one module;
+ * sim::Simulator calls the resulting functions behind
+ * sim::Backend::Compiled.
  *
  * Contract: for the same (design, plan) the emitted source is
  * byte-identical across runs (locked by the golden test in
@@ -20,6 +21,7 @@
 #define STROBER_CODEGEN_CODEGEN_H
 
 #include <string>
+#include <vector>
 
 #include "rtl/ir.h"
 #include "rtl/opt.h"
@@ -27,7 +29,7 @@
 namespace strober {
 namespace codegen {
 
-/** Exported symbol names of the emitted translation unit. */
+/** Exported symbol names of the emitted module. */
 constexpr const char *kEvalSymbol = "strober_eval";
 constexpr const char *kCommitSymbol = "strober_commit";
 constexpr const char *kNumSlotsSymbol = "strober_num_slots";
@@ -38,23 +40,30 @@ constexpr const char *kNumChunksSymbol = "strober_num_chunks";
 constexpr const char *kChunkSymbolPrefix = "strober_eval_chunk_";
 
 /**
- * Emit the specialized C++ translation unit for @p design under
- * @p plan. Deterministic: a pure function of its arguments.
+ * Emit the specialized C++ module for @p design under @p plan as a
+ * list of translation units (TUs). The hot program is cut into TUs by
+ * a fixed statement budget, so the list is a pure function of its
+ * arguments; a design under one budget yields a single TU. TU 0 holds
+ * strober_eval, strober_commit and the stamps, and declares the eval
+ * functions the other TUs define.
  */
-std::string emitSimulatorSource(const rtl::Design &design,
-                                const rtl::EvalPlan &plan);
+std::vector<std::string> emitSimulatorSource(const rtl::Design &design,
+                                             const rtl::EvalPlan &plan);
 
 /**
- * Emit the partitioned (compiled-parallel) translation unit: one
- * `strober_eval_chunk_<k>(slots, mems, dirty)` per chunk of @p part —
- * each step stores only on change and ORs its consumer chunks' bits
+ * Emit the partitioned (compiled-parallel) module as a list of TUs:
+ * one `strober_eval_chunk_<k>(slots, mems, dirty)` per chunk of @p part
+ * — each step stores only on change and ORs its consumer chunks' bits
  * into the caller's dirty bitmap — plus a sequential strober_eval full
  * sweep, the shared strober_commit, and geometry stamps including
- * strober_num_chunks. Deterministic: a pure function of its arguments.
+ * strober_num_chunks. Consecutive chunks fill TUs up to the same
+ * statement budget as emitSimulatorSource; TU 0 holds strober_eval,
+ * strober_commit and the stamps, and declares the chunk functions the
+ * other TUs define. Deterministic: a pure function of its arguments.
  */
-std::string emitPartitionedSource(const rtl::Design &design,
-                                  const rtl::EvalPlan &plan,
-                                  const rtl::EvalPartition &part);
+std::vector<std::string> emitPartitionedSource(const rtl::Design &design,
+                                               const rtl::EvalPlan &plan,
+                                               const rtl::EvalPartition &part);
 
 } // namespace codegen
 } // namespace strober

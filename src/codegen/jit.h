@@ -1,9 +1,12 @@
 /**
  * @file
  * Host-toolchain JIT for the compiled-simulation backend: write the
- * emitted translation unit (codegen/codegen.h) to a private temp
- * directory, compile it into a shared object with the host C++
- * compiler, dlopen() it and resolve the entry points.
+ * emitted translation units (codegen/codegen.h) to a private temp
+ * directory, compile them concurrently with the host C++ compiler
+ * (one child per TU, at most one per hardware thread, through the
+ * bounded runner in codegen/runner.h), link them into one shared
+ * object, dlopen() it and resolve the entry points. The scratch
+ * directory is removed on every path, success or failure.
  *
  * Compiler discovery, in order:
  *  1. $STROBER_CXX — explicit operator override;
@@ -15,13 +18,15 @@
  * sim::Backend::Compiled to degrade to the interpreter.
  *
  * Failures are values (util::Status), never process exits: a missing
- * compiler or a failed compile must leave the caller free to fall
- * back to interpretation with a warning.
+ * compiler, a failed compile or a compiler that outlives its timeout
+ * must leave the caller free to fall back to interpretation with a
+ * warning.
  */
 
 #ifndef STROBER_CODEGEN_JIT_H
 #define STROBER_CODEGEN_JIT_H
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,7 +63,8 @@ class CompiledSim
 
   private:
     friend util::Result<std::unique_ptr<CompiledSim>>
-    compileSimulator(const std::string &, const std::string &);
+    compileSimulator(const std::vector<std::string> &, const std::string &,
+                     std::chrono::milliseconds);
     CompiledSim() = default;
 
     void *handle = nullptr;
@@ -75,15 +81,22 @@ class CompiledSim
  */
 std::string hostCompiler();
 
+/** Wall-clock bound on each compiler child of one JIT compile. */
+constexpr std::chrono::milliseconds kCompileTimeout{120'000};
+
 /**
- * Compile @p source into a shared object and load it. @p tag names the
- * temp artifacts (diagnostics only; any identifier-ish string works).
- * Errors: Unsupported when no compiler is available, IoError for
- * temp-dir/compile/dlopen failures, Corrupt when the module's geometry
- * stamps or entry points are missing.
+ * Compile the translation units @p tus into one shared object and load
+ * it. @p tag names the temp artifacts (diagnostics only; any
+ * identifier-ish string works). Each compiler child is killed after
+ * @p timeout; production callers keep the default, tests shorten it.
+ * Errors: Unsupported when no compiler is available, Timeout when a
+ * compiler child expired, IoError for temp-dir/compile/dlopen
+ * failures, Corrupt when the module's geometry stamps or entry points
+ * are missing.
  */
 util::Result<std::unique_ptr<CompiledSim>>
-compileSimulator(const std::string &source, const std::string &tag);
+compileSimulator(const std::vector<std::string> &tus, const std::string &tag,
+                 std::chrono::milliseconds timeout = kCompileTimeout);
 
 } // namespace codegen
 } // namespace strober

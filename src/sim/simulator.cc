@@ -161,7 +161,7 @@ Simulator::attachCompiledModule()
         if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_'))
             c = '_';
     }
-    std::string source;
+    std::vector<std::string> source;
     if (parallel) {
         partition = rtl::partitionEvalPlan(evalPlan, dsn.mems().size());
         // Mandatory static race gate: the partition must be *proven*
