@@ -66,7 +66,7 @@ EnergySimulator::run(HostDriver &driver, uint64_t maxCycles)
     stats.targetCycles = tsim.targetCycles();
     stats.hostCycles = tsim.hostCycles();
     stats.recordCount = snapSampler->recordCount();
-    stats.intervalsSeen = snapSampler->intervalsSeen();
+    stats.intervalsSeen = stats.targetCycles / cfg.replayLength;
     stats.simulatedHz = stats.wallSeconds > 0
                             ? static_cast<double>(stats.targetCycles) /
                                   stats.wallSeconds

@@ -100,9 +100,8 @@ StreamingReplayPipeline::workerMain()
         }
         if (!gsim)
             gsim = std::make_unique<gate::GateSimulator>(ctx.synth.netlist);
-        // Provisional index = reservoir slot; the aggregation step maps
-        // it to the final compacted sample index (re-replaying when the
-        // index itself is replay-relevant, i.e. under a stall plan).
+        // Index = reservoir slot, which is the final sample index (the
+        // complete slots are always 0..m-1; see streaming.h).
         ReplayUnit unit{item.slot, item.snap.get()};
         ReplayRecord rec = replaySnapshot(*gsim, ctx, unit);
         {
@@ -262,7 +261,7 @@ EnergySimulator::estimateStreaming(HostDriver &driver, uint64_t maxCycles,
     rstats.targetCycles = tsim.targetCycles();
     rstats.hostCycles = tsim.hostCycles();
     rstats.recordCount = snapSampler->recordCount();
-    rstats.intervalsSeen = snapSampler->intervalsSeen();
+    rstats.intervalsSeen = rstats.targetCycles / cfg.replayLength;
     rstats.simulatedHz =
         rstats.wallSeconds > 0
             ? static_cast<double>(rstats.targetCycles) / rstats.wallSeconds
@@ -321,15 +320,7 @@ EnergySimulator::estimateStreaming(HostDriver &driver, uint64_t maxCycles,
             size_t slot = slots[i];
             uint64_t gen = snapSampler->generationOf(slot);
             ReplayRecord rec;
-            bool have = pipeline.takeResult(slot, gen, rec);
-            // Under a fault-injection stall plan the replay itself is a
-            // function of the sample index, so a record replayed under
-            // a shifted provisional index (slot != final compacted
-            // index, possible when an incomplete trailing capture
-            // vacates an earlier slot) must be redone with the real
-            // one. Without a stall plan the index is labeling only.
-            bool indexSensitive = cfg.stallPlan != nullptr && slot != i;
-            if (have && !indexSensitive) {
+            if (pipeline.takeResult(slot, gen, rec)) {
                 rec.outcome.index = i;
                 records[i] = std::move(rec);
                 continue;

@@ -18,13 +18,14 @@
  * Determinism: with early stop disabled, EnergySimulator::
  * estimateStreaming() produces a report byte-identical (under
  * farm::renderReportDeterministic) to run() + estimate() for any worker
- * count. Replays run with a provisional index (the reservoir slot); at
- * aggregation the final compacted sample index is restored, and any
- * record whose replay-relevant inputs depended on the provisional index
- * (fault-injection stall plans) is transparently re-replayed with the
- * final index. Adaptive termination (Config::ciBound) trades that
- * bit-identity for latency: the run stops as soon as the Section III-A
- * confidence interval is tight enough (Eq. 8 n >= 30 floor).
+ * count. Replays run with the reservoir slot as their sample index.
+ * That is already the final index: the reservoir fills slots in order
+ * and a slot holds a capture only once its trace completes, so the
+ * complete slots are always 0..m-1, and a record whose replay depends
+ * on its index (fault-injection stall plans) needs no re-replay.
+ * Adaptive termination (Config::ciBound) trades that bit-identity for
+ * latency: the run stops as soon as the Section III-A confidence
+ * interval is tight enough (Eq. 8 n >= 30 floor).
  */
 
 #ifndef STROBER_CORE_STREAMING_H

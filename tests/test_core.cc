@@ -13,6 +13,7 @@
 #include "core/perf_model.h"
 #include "rtl/builder.h"
 #include "stats/rng.h"
+#include "stats/sampling.h"
 
 namespace strober {
 namespace core {
@@ -107,6 +108,45 @@ TEST(Harness, FameMatchesRtlCycleForCycle)
         for (size_t o = 0; o < d.outputs().size(); ++o)
             ASSERT_EQ(fameH.getOutput(o), rtlH.getOutput(o))
                 << "cycle " << i << " output " << o;
+    }
+}
+
+TEST(EnergySimulator, RunEndingMidIntervalReportsFullSampleAndPopulation)
+{
+    Design d = makeDut();
+    EnergySimulator::Config cfg;
+    cfg.sampleSize = 8;
+    cfg.replayLength = 64;
+    const uint64_t population = 100;
+    const uint64_t cycles = 64 * population + 30; // ends mid-interval
+
+    // One seed whose reservoir records the trailing, never-complete
+    // interval and one whose reservoir skips it (the sampler makes
+    // population + 1 offers with the configured seed).
+    uint64_t pickedSeed = 0, skippedSeed = 0;
+    for (uint64_t seed = 1; seed < 500 && !(pickedSeed && skippedSeed);
+         ++seed) {
+        stats::ReservoirSampler<int> probe(cfg.sampleSize, seed);
+        for (uint64_t i = 0; i < population; ++i)
+            probe.offer();
+        (probe.offer() >= 0 ? pickedSeed : skippedSeed) = seed;
+    }
+    ASSERT_NE(pickedSeed, 0u);
+    ASSERT_NE(skippedSeed, 0u);
+
+    for (uint64_t seed : {pickedSeed, skippedSeed}) {
+        SCOPED_TRACE(seed == pickedSeed ? "picked" : "skipped");
+        cfg.seed = seed;
+        EnergySimulator es(d, cfg);
+        NoiseDriver driver(7, cycles);
+        RunStats rs = es.run(driver, UINT64_MAX);
+        ASSERT_EQ(rs.targetCycles, cycles);
+        EXPECT_EQ(rs.intervalsSeen, population);
+
+        EnergyReport report = es.estimate();
+        EXPECT_EQ(report.population, population);
+        EXPECT_EQ(report.snapshots, cfg.sampleSize);
+        EXPECT_EQ(report.replayMismatches, 0u);
     }
 }
 
