@@ -13,8 +13,8 @@
  * full interpreted reference sweep, activity-driven change propagation,
  * the compiled backend that lowers the design to specialized C++, and
  * the compiled-parallel backend that adds chunk-granular activity
- * gating over a worker pool) on the same workloads: node evaluations per cycle, activity factor
- * and wall-clock speedup. The backends are observationally equivalent
+ * gating) on the same workloads: node evaluations per cycle, activity
+ * factor and wall-clock speedup. The backends are observationally equivalent
  * (tests/test_differential.cc), so the only difference is the rate.
  * JIT compilation happens at harness construction, outside the timed
  * region — the records measure steady-state simulation rate.
@@ -160,10 +160,7 @@ backendContrast(const rtl::Design &soc, bench::JsonSink &json)
                 .num("speedup", speedup)
                 .num("evals_per_cycle", r.evalsPerCycle)
                 .num("activity", r.activity)
-                .num("threads",
-                     backend == sim::Backend::CompiledParallel
-                         ? static_cast<double>(sim::simThreads())
-                         : 1.0);
+                .num("threads", 1.0);
         }
     }
 }

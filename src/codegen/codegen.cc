@@ -337,9 +337,7 @@ tuHeader(const char *kind, const rtl::Design &d, size_t tu, size_t numTus)
  * Append partition chunk @p c's eval function (signature
  * kChunkSignature). Each step stores its slot only when the value
  * changed, accumulating the consumer chunks' dirty bits in locals; the
- * accumulated words are published once at the end with relaxed atomic
- * ORs (chunks of one level run concurrently; the level barrier orders
- * the reads that follow).
+ * accumulated words are ORed into the bitmap once at the end.
  */
 void
 emitChunkFn(std::string &out, const rtl::Design &d,
@@ -398,9 +396,7 @@ emitChunkFn(std::string &out, const rtl::Design &d,
         out += "  uint64_t " + wordVar(word) + " = 0ull;\n";
     out += body;
     for (uint32_t word : usedWords)
-        out += "  if (" + wordVar(word) + ") __atomic_fetch_or(d + " +
-               dec(word) + ", " + wordVar(word) +
-               ", __ATOMIC_RELAXED);\n";
+        out += "  d[" + dec(word) + "] |= " + wordVar(word) + ";\n";
     out += "}\n\n";
 }
 

@@ -44,7 +44,7 @@ class CompiledSim
     using Fn = void (*)(uint64_t *, uint64_t *const *);
     /** Per-chunk eval over (slots, memory pointers, dirty bitmap):
      *  evaluates one partition chunk, ORing consumer-chunk dirty bits
-     *  into the bitmap with relaxed atomics. */
+     *  into the bitmap. */
     using ChunkFn = void (*)(uint64_t *, uint64_t *const *, uint64_t *);
 
     CompiledSim(const CompiledSim &) = delete;

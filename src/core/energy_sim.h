@@ -166,7 +166,6 @@ class EnergySimulator
          *  per-cycle activity instead of design size, Compiled trades a
          *  one-time host-compiler invocation for the fastest sweeps,
          *  and CompiledParallel adds chunk-granular activity gating
-         *  plus a worker pool (sim::setSimThreads / --sim-threads)
          *  with results bit-identical to every other backend. */
         sim::Backend backend = sim::Backend::InterpretedActivity;
         gate::LoaderKind loader = gate::LoaderKind::FastVpi;

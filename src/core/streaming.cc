@@ -22,6 +22,13 @@ nowSeconds()
 
 } // namespace
 
+unsigned
+streamingReplayWorkers(unsigned requested, size_t reservoirSize)
+{
+    return static_cast<unsigned>(std::max<size_t>(
+        1, std::min<size_t>(requested, reservoirSize)));
+}
+
 StreamingReplayPipeline::StreamingReplayPipeline(const ReplayContext &ctx,
                                                  unsigned workerCount,
                                                  size_t queueBound)
@@ -231,8 +238,9 @@ EnergySimulator::estimateStreaming(HostDriver &driver, uint64_t maxCycles,
                       snapSampler->chains(),
                       cfg,
                       resolveReplayBudget(cfg, *synth)};
-    StreamingReplayPipeline pipeline(ctx, std::max(1u, cfg.parallelReplays),
-                                     cfg.sampleSize + 1);
+    StreamingReplayPipeline pipeline(
+        ctx, streamingReplayWorkers(cfg.parallelReplays, cfg.sampleSize),
+        cfg.sampleSize + 1);
     snapSampler->setObserver(&pipeline);
 
     bool earlyStopped = false;

@@ -66,6 +66,14 @@ struct StreamingStats
 };
 
 /**
+ * Replay threads a streamed run starts for @p requested workers and a
+ * reservoir of @p reservoirSize captures: at least one, and no more
+ * than the reservoir holds (the InProcessReplayExecutor likewise caps
+ * its workers at the unit count).
+ */
+unsigned streamingReplayWorkers(unsigned requested, size_t reservoirSize);
+
+/**
  * Bounded-queue fan-out from the sampler to replay worker threads.
  * Observer callbacks run on the fast-sim thread; replay runs on the
  * worker threads; all shared state sits behind one mutex (the per-item

@@ -1,13 +1,13 @@
 #include "fame/snapshot_io.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
 #include "util/crc32.h"
+#include "util/file_io.h"
 
 namespace strober {
 namespace fame {
@@ -349,38 +349,10 @@ Status
 writeSnapshotFile(const std::string &path, const ScanChains &chains,
                   const ReplayableSnapshot &snap)
 {
-    namespace fs = std::filesystem;
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return errorf(ErrorCode::IoError, "cannot create '%s'",
-                          tmp.c_str());
-        }
-        Status st = writeSnapshot(out, chains, snap);
-        if (!st.isOk()) {
-            out.close();
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return st;
-        }
-        out.close();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "closing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "renaming '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
+    std::ostringstream out(std::ios::binary);
+    if (Status st = writeSnapshot(out, chains, snap); !st.isOk())
+        return st;
+    return util::writeFileAtomic(path, out.str());
 }
 
 Result<ReplayableSnapshot>

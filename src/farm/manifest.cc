@@ -1,15 +1,14 @@
 #include "farm/manifest.h"
 
-#include <filesystem>
 #include <fstream>
 
 #include "farm/wire.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
 namespace farm {
 
-namespace fs = std::filesystem;
 using util::ErrorCode;
 using util::errorf;
 using util::Result;
@@ -145,35 +144,9 @@ writeManifestFile(const std::string &path, const ShardManifest &m)
         w.str(e.failDetail);
     }
 
-    // Atomic write-to-temp-then-rename, like snapshot v2: a killed run
-    // leaves either the previous manifest or the new one, never a torn
-    // file.
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return errorf(ErrorCode::IoError, "cannot create '%s'",
-                          tmp.c_str());
-        std::string bytes = w.sealed();
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.close();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "writing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "renaming '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
+    // Atomic write-to-temp-then-rename: a killed run leaves either the
+    // previous manifest or the new one, never a torn file.
+    return util::writeFileAtomic(path, w.sealed());
 }
 
 Result<ShardManifest>

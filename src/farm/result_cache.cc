@@ -1,7 +1,6 @@
 #include "farm/result_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,9 +9,8 @@
 #include <fstream>
 #include <vector>
 
-#include <unistd.h>
-
 #include "farm/wire.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -60,42 +58,6 @@ readWholeFile(const std::string &path)
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     return bytes;
-}
-
-Status
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    // Unique temp per writer so concurrent farm workers storing the
-    // same content-addressed entry never clobber each other mid-write;
-    // the final rename is atomic and last-writer-wins over identical
-    // bytes.
-    static std::atomic<uint64_t> serial{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                      std::to_string(serial.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return errorf(ErrorCode::IoError, "cannot create '%s'",
-                          tmp.c_str());
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.close();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "writing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "renaming '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
 }
 
 } // namespace
@@ -253,7 +215,7 @@ ResultCache::store(const CacheKey &key, const core::ReplayRecord &rec)
         w.str(name);
         w.f64(watts);
     }
-    Status st = writeFileAtomic(entryPath(key), w.sealed());
+    Status st = util::writeFileAtomic(entryPath(key), w.sealed());
     if (st.isOk())
         ++counters.stores;
     return st;

@@ -17,6 +17,7 @@
 #include "power/power_analysis.h"
 #include "stats/sampling.h"
 #include "util/env.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -43,38 +44,6 @@ tombName(uint64_t slot, uint64_t generation)
 {
     return strfmt("tomb_%05llu_%06llu", (unsigned long long)slot,
                   (unsigned long long)generation);
-}
-
-/** Atomic temp + rename write, same discipline as the manifests. */
-Status
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return errorf(ErrorCode::IoError, "cannot open '%s' for write",
-                          tmp.c_str());
-        }
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "writing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "cannot rename '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
 }
 
 Result<std::string>
@@ -140,7 +109,7 @@ writePlanMarker(const std::string &runDir)
 {
     wire::Writer w;
     w.u64(kEntryVersion);
-    return writeFileAtomic(
+    return util::writeFileAtomic(
         (fs::path(streamDir(runDir)) / kPlanName).string(), w.sealed());
 }
 
@@ -207,7 +176,7 @@ StreamFeed::onSnapshotReady(size_t slot, uint64_t generation,
         w.u64(e.stallCycles);
         w.str(e.snapshotFile);
         w.str(e.key.hex());
-        ws = writeFileAtomic(
+        ws = util::writeFileAtomic(
             (fs::path(dir) / strfmt("entry_%06llu%s",
                                     (unsigned long long)e.seq,
                                     kEntrySuffix))
@@ -234,7 +203,7 @@ StreamFeed::onSlotEvicted(size_t slot, uint64_t generation)
     auto it = live.find(slot);
     if (it == live.end() || it->second.generation != generation)
         return; // the evicted capture never made it into the feed
-    Status ts = writeFileAtomic(
+    Status ts = util::writeFileAtomic(
         (fs::path(dir) / tombName(slot, generation)).string(),
         std::string());
     if (!ts.isOk())
@@ -253,8 +222,8 @@ StreamFeed::finish(bool earlyStop)
     wire::Writer w;
     w.u64(kEntryVersion);
     w.u64(earlyStop ? 1 : 0);
-    return writeFileAtomic((fs::path(dir) / kDoneName).string(),
-                           w.sealed());
+    return util::writeFileAtomic((fs::path(dir) / kDoneName).string(),
+                                 w.sealed());
 }
 
 size_t

@@ -525,7 +525,7 @@ partitionEvalPlan(const EvalPlan &plan, size_t numMems, uint32_t clusters,
     }
 
     // Merge consecutive ranks into levels of at least minLevelSteps
-    // steps, bounding the barriers per evaluation.
+    // steps, bounding the number of chunks per evaluation.
     std::vector<uint32_t> rankCount(maxRank + 1, 0);
     for (uint32_t i = 0; i < numSteps; ++i)
         ++rankCount[rank[i]];
@@ -547,7 +547,7 @@ partitionEvalPlan(const EvalPlan &plan, size_t numMems, uint32_t clusters,
         stepLevel[i] = rankLevel[rank[i]];
 
     // Within one level, steps connected by a dependency must share a
-    // cluster (chunks of a level run concurrently with no ordering).
+    // cluster (chunks of one level are not ordered among themselves).
     // Union-find over intra-level edges yields the components.
     std::vector<uint32_t> parent(numSteps);
     for (uint32_t i = 0; i < numSteps; ++i)

@@ -205,10 +205,6 @@ Simulator::attachCompiledModule()
                   dsn.name().c_str(), module->chunks().size(),
                   partition.chunks.size());
         chunkDirty.assign(partition.dirtyWords(), 0);
-        unsigned threads = simThreads();
-        dispatchGrain = parallelDispatchGrain(threads);
-        if (threads > 1 && !partition.chunks.empty())
-            pool.reset(new WorkerPool(threads));
     }
 }
 
@@ -426,44 +422,25 @@ Simulator::evalCombParallel()
         return;
     }
 
-    // Drain dirty chunks level by level. All cross-chunk data edges
-    // point to a *later* level (intra-level dependencies are kept
-    // in-chunk by the partitioner), so the dirty chunks of one level
-    // are independent: they can run on any number of threads in any
-    // order, and a chunk's dirty marks always target levels not yet
-    // drained. That makes the executed set — and hence every value and
-    // counter — independent of thread scheduling.
+    // Drain the chunk dirty bitmap in one ascending scan, like
+    // evalCombActivity's step bitmap. Chunk ids are level-major and
+    // every cross-chunk edge points to a later level
+    // (rtl::verifyPartition), so a chunk only marks strictly higher
+    // ids: a higher bit of the current word (re-read every iteration)
+    // or a later word. Every chunk therefore runs after all of its
+    // producers, at most once per sweep.
     const auto &chunkFns = module->chunks();
     uint64_t *slotData = slots.data();
     uint64_t *const *memData = memPtrs.data();
     uint64_t *dirty = chunkDirty.data();
     uint64_t executed = 0;
-    for (uint32_t lvl = 0; lvl < partition.numLevels(); ++lvl) {
-        liveChunks.clear();
-        uint32_t steps = 0;
-        for (uint32_t c = partition.levelBegin[lvl];
-             c < partition.levelBegin[lvl + 1]; ++c) {
-            if ((chunkDirty[c >> 6] & (1ULL << (c & 63))) != 0) {
-                liveChunks.push_back(c);
-                steps += static_cast<uint32_t>(
-                    partition.chunks[c].steps.size());
-            }
-        }
-        if (liveChunks.empty())
-            continue;
-        for (uint32_t c : liveChunks)
-            chunkDirty[c >> 6] &= ~(1ULL << (c & 63));
-        executed += steps;
-        if (pool != nullptr && liveChunks.size() >= 2 &&
-            steps >= dispatchGrain) {
-            const std::vector<uint32_t> &live = liveChunks;
-            pool->run(static_cast<uint32_t>(live.size()),
-                      [&](uint32_t i) {
-                          chunkFns[live[i]](slotData, memData, dirty);
-                      });
-        } else {
-            for (uint32_t c : liveChunks)
-                chunkFns[c](slotData, memData, dirty);
+    for (size_t w = 0; w < chunkDirty.size(); ++w) {
+        while (dirty[w] != 0) {
+            uint32_t c = static_cast<uint32_t>(
+                (w << 6) | __builtin_ctzll(dirty[w]));
+            dirty[w] &= dirty[w] - 1;
+            executed += partition.chunks[c].steps.size();
+            chunkFns[c](slotData, memData, dirty);
         }
     }
     evalCount += executed;

@@ -36,12 +36,11 @@
  *     level-ordered chunks (rtl::partitionEvalPlan), each lowered to a
  *     JIT'd function that evaluates only when one of its input slots
  *     changed — the chunk-granular generalization of the activity
- *     bitmap. Dirty chunks of one level are independent and execute
- *     across a persistent worker pool (sim/worker_pool.h) with a
- *     barrier per level; cross-chunk dirty bits are published with
- *     atomic ORs, so results (and every counter) are bit-identical
- *     whatever the thread count or schedule. Degrades to
- *     InterpretedActivity when no compiler is available.
+ *     bitmap. Chunk ids are level-major and every cross-chunk edge
+ *     points to a later level (rtl::verifyPartition), so the chunk
+ *     dirty bitmap is drained in one ascending scan on the simulating
+ *     thread, exactly like the activity interpreter's step bitmap.
+ *     Degrades to InterpretedActivity when no compiler is available.
  *
  * All state access (peek of *any* node, scan-chain capture, snapshot
  * load, VCD) behaves identically across backends: optimized-away
@@ -60,7 +59,6 @@
 #include "codegen/jit.h"
 #include "rtl/ir.h"
 #include "rtl/opt.h"
-#include "sim/worker_pool.h"
 
 namespace strober {
 namespace sim {
@@ -70,7 +68,7 @@ enum class Backend : uint8_t {
     InterpretedFull,     //!< reference interpreter, full sweep
     InterpretedActivity, //!< interpreter, change propagation
     Compiled,            //!< JIT-compiled native code (dlopen)
-    CompiledParallel,    //!< JIT'd chunks, activity-gated, worker pool
+    CompiledParallel,    //!< JIT'd chunks, activity-gated
 };
 
 /** @return "full", "activity", "compiled" or "compiled-parallel"
@@ -222,9 +220,6 @@ class Simulator
     // --- CompiledParallel machinery ------------------------------------
     rtl::EvalPartition partition;   //!< chunking of the hot program
     std::vector<uint64_t> chunkDirty; //!< bitmap over chunk ids
-    std::vector<uint32_t> liveChunks; //!< per-level scratch (no alloc)
-    std::unique_ptr<WorkerPool> pool;
-    uint32_t dispatchGrain = 0;     //!< min dirty steps to use the pool
 
     void buildTables();
     void attachCompiledModule();

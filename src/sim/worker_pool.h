@@ -1,121 +1,22 @@
 /**
  * @file
- * Persistent worker pool for the compiled-parallel backend: a fixed
- * set of threads executing one batch of independent tasks per run()
- * call, with the caller participating in the drain.
- *
- * The unit of work is an index: run(count, fn) has every participant
- * repeatedly claim the next unclaimed index via a CAS on a packed
- * {generation, index} ticket and call fn(index). Claims from a stale
- * generation always fail: the generation half mismatches, and run()
- * additionally saturates the index half to UINT32_MAX before it
- * returns, so a ticket value loaded during a finished batch can never
- * be CASed once the next batch publishes its (possibly larger) task
- * count. run() returns only once every task of the current generation
- * finished, so batches never overlap and fn may touch caller-owned
- * state without synchronization beyond the run() boundary.
- *
- * Because the caller drains tasks itself, a pool on a single-core host
- * degenerates to a plain loop plus one predictable-branch check — the
- * backend stays cheap when there is nothing to parallelize.
- *
- * Workers spin briefly between batches, then park on a condition
- * variable; destruction wakes and joins them. The pool is fork-safe in
- * the strober-farm sense: children _exit() without running
- * destructors, and the pool touches no fd/lock state a forked child
- * would inherit mid-operation (the farm forks from the coordinator,
- * which never simulates).
+ * Thread count of the fast simulator. Every backend, compiled-parallel
+ * included, evaluates on the simulating thread, so the count is always
+ * one; it is still reported by the benches as a provenance field.
  */
 
 #ifndef STROBER_SIM_WORKER_POOL_H
 #define STROBER_SIM_WORKER_POOL_H
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
-
 namespace strober {
 namespace sim {
 
-/**
- * Threads the simulator should use, resolved in precedence order:
- * setSimThreads() override (the CLI's --sim-threads), else the
- * $STROBER_SIM_THREADS environment variable (re-read on every call so
- * a test matrix can vary it between Simulator constructions), else
- * min(hardware_concurrency, 8). Always at least 1.
- */
-unsigned simThreads();
-
-/** Process-wide thread-count override; 0 clears it. */
-void setSimThreads(unsigned n);
-
-/**
- * Minimum total hot steps across a level's dirty chunks before the
- * evaluation is dispatched to the pool instead of run inline;
- * overridable via $STROBER_SIM_PARALLEL_GRAIN (tests set it to 0 to
- * force every level through the pool). When @p poolThreads
- * oversubscribes the host cores there is no parallel capacity for a
- * dispatch to exploit, so absent the env override the grain saturates
- * and levels run inline — chunk-granular activity gating still applies.
- */
-uint32_t parallelDispatchGrain(unsigned poolThreads = 1);
-
-/** A persistent pool of `threads - 1` workers plus the caller. */
-class WorkerPool
+/** Threads one Simulator evaluates on: always 1. */
+inline unsigned
+simThreads()
 {
-  public:
-    /** @p threads is the total parallelism including the caller; a
-     *  value <= 1 creates no worker threads at all. */
-    explicit WorkerPool(unsigned threads);
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-    ~WorkerPool();
-
-    /** Total parallelism (workers + caller). */
-    unsigned threads() const
-    {
-        return static_cast<unsigned>(workers.size()) + 1;
-    }
-
-    /**
-     * Execute fn(0..count-1), each exactly once, across the caller and
-     * all workers; returns after every call finished. @p fn must not
-     * reenter the pool. Not thread-safe: one run() at a time.
-     */
-    void run(uint32_t count, const std::function<void(uint32_t)> &fn);
-
-  private:
-    void workerBody();
-    /** Claim-and-execute loop shared by caller and workers. */
-    void drain(uint32_t gen);
-
-    // Iterations a worker spins for the next batch before parking.
-    // Zero when the pool oversubscribes the host (more threads than
-    // cores): a spinning worker would then steal the very quantum the
-    // dispatching caller needs, so parking immediately is faster.
-    unsigned spinLimit = 0;
-
-    // Ticket packs {generation:32 | next-index:32}; a CAS that loses
-    // the race or sees a foreign generation simply retries/leaves.
-    // Generations wrap mod 2^32 (all comparisons are on the 32-bit
-    // value), and run() parks the index at UINT32_MAX between batches
-    // so stale claims from a finished generation always fail.
-    std::atomic<uint64_t> ticket{0};
-    std::atomic<uint32_t> taskCount{0};
-    std::atomic<uint32_t> completed{0};
-    const std::function<void(uint32_t)> *taskFn = nullptr;
-
-    std::mutex wakeMutex;
-    std::condition_variable wakeCv;
-    uint32_t wakeGen = 0; // generation workers should work on (guarded)
-    bool stopping = false;
-
-    std::vector<std::thread> workers;
-};
+    return 1;
+}
 
 } // namespace sim
 } // namespace strober

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -29,6 +30,35 @@ parseULong(const std::string &text)
     if (errno == ERANGE || end != text.c_str() + text.size())
         return std::nullopt;
     return n;
+}
+
+std::optional<unsigned long>
+parseCount(const std::string &text, unsigned long lo, unsigned long hi)
+{
+    std::optional<unsigned long> n = parseULong(text);
+    if (!n.has_value() || *n < lo || *n > hi)
+        return std::nullopt;
+    return n;
+}
+
+unsigned long
+parseCountArg(const char *flag, const std::string &text, unsigned long lo,
+              unsigned long hi)
+{
+    std::optional<unsigned long> n = parseCount(text, lo, hi);
+    if (!n.has_value()) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in %lu..%lu\n",
+                     flag, text.c_str(), lo, hi);
+        std::exit(2);
+    }
+    return *n;
+}
+
+unsigned
+parseWorkerCountArg(const char *flag, const std::string &text)
+{
+    return static_cast<unsigned>(
+        parseCountArg(flag, text, 1, kMaxWorkerCount));
 }
 
 unsigned long

@@ -8,14 +8,16 @@
  * (the CommandRunner wall-clock/memory-cap idiom, in-process).
  *
  * Parsing is deliberately strict: a signed value, garbage, trailing
- * junk or overflow never "mostly parses" — it falls back exactly like
- * an unset variable, so STROBER_SIM_THREADS=-1 can never wrap into 2^64
- * threads and a typo'd cap never silently disables supervision.
+ * junk or overflow never "mostly parses". An environment variable falls
+ * back exactly like an unset one, and a CLI count is a usage error, so
+ * `-j -1` can never wrap into 2^32 workers and a typo'd cap never
+ * silently disables supervision.
  */
 
 #ifndef STROBER_UTIL_ENV_H
 #define STROBER_UTIL_ENV_H
 
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,6 +33,26 @@ namespace util {
  * values that overflow unsigned long.
  */
 std::optional<unsigned long> parseULong(const std::string &text);
+
+/** Ceiling of every worker-count flag (--jobs/-j, --workers,
+ *  --runners): each worker is a thread or a process. */
+constexpr unsigned long kMaxWorkerCount = 256;
+
+/** parseULong(@p text) when the value lies in [@p lo, @p hi]. */
+std::optional<unsigned long> parseCount(const std::string &text,
+                                        unsigned long lo = 0,
+                                        unsigned long hi = ULONG_MAX);
+
+/**
+ * CLI count flag @p flag = @p text, per parseCount. Anything else is a
+ * usage error: the reason goes to stderr and the process exits 2.
+ */
+unsigned long parseCountArg(const char *flag, const std::string &text,
+                            unsigned long lo = 0,
+                            unsigned long hi = ULONG_MAX);
+
+/** parseCountArg over 1..kMaxWorkerCount, for worker-count flags. */
+unsigned parseWorkerCountArg(const char *flag, const std::string &text);
 
 /**
  * Read env var @p name as an unsigned integer. Unset, empty or

@@ -355,6 +355,20 @@ class FarmFixture : public ::testing::Test
     std::filesystem::path dir;
 };
 
+/** True if any file under @p dir carries an atomic-write temp name
+ *  ("<final>.tmp.<pid>.<serial>"). */
+bool
+hasTempResidue(const std::filesystem::path &dir)
+{
+    std::error_code ec;
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(dir, ec)) {
+        if (e.path().filename().string().find(".tmp") != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
 TEST_F(FarmFixture, EveryFileFaultClassIsDetectedAtLoad)
 {
     namespace fs = std::filesystem;
@@ -369,7 +383,7 @@ TEST_F(FarmFixture, EveryFileFaultClassIsDetectedAtLoad)
         fs::path f = dir / ("snap_" + std::to_string(s->cycle()) + ".strb");
         ASSERT_TRUE(fame::writeSnapshotFile(f.string(), chains, *s).isOk());
         // Atomic write: no temp residue next to the final file.
-        EXPECT_FALSE(fs::exists(f.string() + ".tmp"));
+        EXPECT_FALSE(hasTempResidue(dir));
         files.push_back(f);
     }
 
@@ -459,7 +473,7 @@ TEST_F(FarmFixture, WriteToUnwritablePathReportsIoError)
     ASSERT_FALSE(st.isOk());
     EXPECT_EQ(st.code(), util::ErrorCode::IoError);
     EXPECT_FALSE(std::filesystem::exists(bad));
-    EXPECT_FALSE(std::filesystem::exists(bad + ".tmp"));
+    EXPECT_FALSE(hasTempResidue(dir));
 }
 
 // ---------------------------------------------------------------------------

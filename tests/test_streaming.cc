@@ -29,6 +29,7 @@
 
 #include "core/energy_sim.h"
 #include "core/harness.h"
+#include "core/streaming.h"
 #include "farm/report.h"
 #include "fame/sampler.h"
 #include "inject/fault_injector.h"
@@ -248,6 +249,15 @@ expectBitIdentical(const EnergyReport &a, const EnergyReport &b)
     // CI smoke `cmp`s between streamed and phased farm runs.
     EXPECT_EQ(farm::renderReportDeterministic(a),
               farm::renderReportDeterministic(b));
+}
+
+TEST(StreamingPipeline, ReplayWorkersClampToReservoir)
+{
+    EXPECT_EQ(core::streamingReplayWorkers(4, 30), 4u);
+    EXPECT_EQ(core::streamingReplayWorkers(64, 30), 30u);
+    EXPECT_EQ(core::streamingReplayWorkers(4294967295u, 30), 30u);
+    EXPECT_EQ(core::streamingReplayWorkers(0, 30), 1u);
+    EXPECT_EQ(core::streamingReplayWorkers(4, 0), 1u);
 }
 
 TEST(StreamingPipeline, BitIdenticalToPhasedForAnyWorkerCount)

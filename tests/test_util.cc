@@ -1,10 +1,14 @@
 /**
  * @file
- * Unit tests for bit utilities, logging helpers, and environment
- * variable parsing.
+ * Unit tests for bit utilities, logging helpers, environment
+ * variable and CLI count parsing, and the atomic file writer.
  */
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include <unistd.h>
 
@@ -12,6 +16,7 @@
 
 #include "util/bits.h"
 #include "util/env.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -147,6 +152,63 @@ TEST(Env, EnvULongFallbackAndPresence)
     EXPECT_EQ(util::envULong("STROBER_TEST_ENV_ULONG", 9, &present), 9ul);
     EXPECT_FALSE(present);
     ::unsetenv("STROBER_TEST_ENV_ULONG");
+}
+
+TEST(Env, ParseCountEnforcesBounds)
+{
+    EXPECT_EQ(util::parseCount("0"), 0ul);
+    EXPECT_EQ(util::parseCount("7", 1, 7), 7ul);
+    EXPECT_FALSE(util::parseCount("8", 1, 7).has_value());
+    EXPECT_FALSE(util::parseCount("0", 1, 7).has_value());
+    EXPECT_FALSE(util::parseCount("-1", 0, 7).has_value());
+    EXPECT_FALSE(util::parseCount("abc").has_value());
+    EXPECT_FALSE(util::parseCount("").has_value());
+}
+
+// The worker-count flags of strober run (--jobs/-j), strober-farm run
+// (-j/--jobs, --workers) and strober-serve (--runners, --workers) all go
+// through parseWorkerCountArg: a value outside 1..256 is a usage error
+// (exit 2), never a wrapped or huge thread/process count.
+TEST(Env, WorkerCountFlagOutOfRangeIsUsageError)
+{
+    EXPECT_EQ(util::parseWorkerCountArg("-j", "1"), 1u);
+    EXPECT_EQ(util::parseWorkerCountArg("-j", "256"), 256u);
+    for (const char *bad : {"-1", "abc", "0", "100000", "257", ""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EXIT(util::parseWorkerCountArg("-j", bad),
+                    ::testing::ExitedWithCode(2), "-j: '.*' is not an "
+                                                  "integer in 1\\.\\.256");
+    }
+    EXPECT_EXIT(util::parseCountArg("--keep", "4x"),
+                ::testing::ExitedWithCode(2), "--keep");
+}
+
+TEST(FileIo, WriteFileAtomicReplacesAndLeavesNoTemp)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("strober_file_io_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string path = (dir / "f.bin").string();
+    auto read = [&] {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    ASSERT_TRUE(util::writeFileAtomic(path, "first").isOk());
+    EXPECT_EQ(read(), "first");
+    ASSERT_TRUE(util::writeFileAtomic(path, "second").isOk());
+    EXPECT_EQ(read(), "second");
+    // A missing parent directory fails with IoError and leaves nothing.
+    util::Status st =
+        util::writeFileAtomic((dir / "missing" / "g.bin").string(), "x");
+    EXPECT_EQ(st.code(), util::ErrorCode::IoError);
+    // Only f.bin is left: no temp residue from either call.
+    EXPECT_EQ(std::distance(fs::recursive_directory_iterator(dir),
+                            fs::recursive_directory_iterator()),
+              1);
+    fs::remove_all(dir);
 }
 
 TEST(Env, EnvFlag)

@@ -11,8 +11,6 @@
  *       [--backend B]                      #   fast-sim backend: full |
  *                                          #   activity (default) |
  *                                          #   compiled | compiled-parallel
- *       [--sim-threads N]                  #   threads for the
- *                                          #   compiled-parallel backend
  *       [--jobs N | -j N]                  #   parallel replay workers
  *       [--cache-dir DIR]                  #   persistent replay-result
  *                                          #   cache (src/farm); a warm
@@ -50,6 +48,8 @@
  */
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -71,6 +71,7 @@
 #include "gate/verilog.h"
 #include "isa/assembler.h"
 #include "isa/iss.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "workloads/workloads.h"
 
@@ -499,7 +500,6 @@ usage()
                  "       strober run    <core> --stimulus <file.vcd>\n"
                  "                      [--backend full|activity|compiled\n"
                  "                                 |compiled-parallel]\n"
-                 "                      [--sim-threads N]\n"
                  "                      [--jobs N | -j N]\n"
                  "                      [--cache-dir DIR]\n"
                  "                      [--max-dropped-snapshots N]\n"
@@ -538,12 +538,14 @@ main(int argc, char **argv)
         for (int i = 2; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg == "--max-dropped-snapshots" && i + 1 < argc) {
-                opts.maxDroppedSnapshots =
-                    static_cast<size_t>(std::stoull(argv[++i]));
+                opts.maxDroppedSnapshots = util::parseCountArg(
+                    "--max-dropped-snapshots", argv[++i]);
             } else if (arg == "--replay-timeout" && i + 1 < argc) {
-                opts.replayTimeoutCycles = std::stoull(argv[++i]);
+                opts.replayTimeoutCycles =
+                    util::parseCountArg("--replay-timeout", argv[++i]);
             } else if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-                opts.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+                opts.jobs =
+                    util::parseWorkerCountArg(arg.c_str(), argv[++i]);
             } else if (arg == "--cache-dir" && i + 1 < argc) {
                 opts.cacheDir = argv[++i];
             } else if (arg == "--stimulus" && i + 1 < argc) {
@@ -570,9 +572,6 @@ main(int argc, char **argv)
                                  argv[i]);
                     return 2;
                 }
-            } else if (arg == "--sim-threads" && i + 1 < argc) {
-                sim::setSimThreads(
-                    static_cast<unsigned>(std::stoul(argv[++i])));
             } else if (arg.rfind("--", 0) == 0) {
                 std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
                 usage();
@@ -619,11 +618,13 @@ main(int argc, char **argv)
     if (cmd == "synth" && (argc == 3 || argc == 4))
         return cmdSynth(argv[2], argc == 4 ? argv[3] : nullptr);
     if (cmd == "chase" && (argc == 4 || argc == 5)) {
-        return cmdChase(argv[2],
-                        static_cast<uint32_t>(std::stoul(argv[3])),
-                        argc == 5 ? static_cast<unsigned>(
-                                        std::stoul(argv[4]))
-                                  : 100);
+        return cmdChase(
+            argv[2],
+            static_cast<uint32_t>(
+                util::parseCountArg("<KiB>", argv[3], 0, UINT32_MAX)),
+            argc == 5 ? static_cast<unsigned>(util::parseCountArg(
+                            "[dram-latency]", argv[4], 0, UINT_MAX))
+                      : 100);
     }
     if (cmd == "asm" && argc == 3)
         return cmdAsm(argv[2]);

@@ -34,6 +34,7 @@
  */
 
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -679,7 +680,6 @@ usage()
         "                    [--replay-timeout CYCLES]\n"
         "                    [--backend full|activity|compiled\n"
         "                               |compiled-parallel]\n"
-        "                    [--sim-threads N]\n"
         "                    [--stream] [--ci-bound X]\n"
         "       strober-farm worker --dir D [--shard K] [--stream]\n"
         "                    [--slot I --slots N] [--deadline-unix-ms T]\n"
@@ -730,36 +730,42 @@ parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
         } else if (arg == "--stimulus") {
             opts.stimulus = next();
         } else if (arg == "-j" || arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(std::stoul(next()));
+            opts.jobs = util::parseWorkerCountArg(arg.c_str(), next());
         } else if (arg == "--shards") {
-            opts.shards = static_cast<unsigned>(std::stoul(next()));
+            opts.shards = static_cast<unsigned>(
+                util::parseCountArg("--shards", next(), 0, UINT_MAX));
         } else if (arg == "--shard") {
-            opts.shard = static_cast<unsigned>(std::stoul(next()));
+            opts.shard = static_cast<unsigned>(
+                util::parseCountArg("--shard", next(), 0, UINT_MAX));
             opts.haveShard = true;
         } else if (arg == "--slot") {
-            opts.slot = static_cast<unsigned>(std::stoul(next()));
+            opts.slot = static_cast<unsigned>(
+                util::parseCountArg("--slot", next(), 0, UINT_MAX));
         } else if (arg == "--slots") {
-            opts.slots = static_cast<unsigned>(std::stoul(next()));
+            opts.slots = static_cast<unsigned>(
+                util::parseCountArg("--slots", next(), 0, UINT_MAX));
         } else if (arg == "--deadline-unix-ms") {
-            opts.deadlineUnixMs = std::stoull(next());
+            opts.deadlineUnixMs =
+                util::parseCountArg("--deadline-unix-ms", next());
         } else if (arg == "--keep") {
-            opts.keep = static_cast<size_t>(std::stoull(next()));
+            opts.keep = util::parseCountArg("--keep", next());
             opts.haveKeep = true;
         } else if (arg == "--max-age") {
             opts.gcMaxAgeSec = durationArg("--max-age", next()) / 1000;
         } else if (arg == "--max-bytes") {
-            opts.gcMaxBytes = std::stoull(next());
+            opts.gcMaxBytes = util::parseCountArg("--max-bytes", next());
         } else if (arg == "--socket") {
             opts.socketPath = next();
         } else if (arg == "--job") {
-            opts.jobId = std::stoull(next());
+            opts.jobId = util::parseCountArg("--job", next());
             opts.haveJob = true;
         } else if (arg == "--timeout") {
             opts.timeoutMs = durationArg("--timeout", next());
         } else if (arg == "--deadline") {
             opts.deadlineMs = durationArg("--deadline", next());
         } else if (arg == "--workers") {
-            opts.serveWorkers = static_cast<unsigned>(std::stoul(next()));
+            opts.serveWorkers =
+                util::parseWorkerCountArg("--workers", next());
         } else if (arg == "--wait") {
             opts.waitAfterSubmit = true;
         } else if (arg == "--stream") {
@@ -773,15 +779,17 @@ parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
                 return false;
             }
         } else if (arg == "--sample-size") {
-            opts.sim.sampleSize = static_cast<size_t>(std::stoull(next()));
+            opts.sim.sampleSize =
+                util::parseCountArg("--sample-size", next());
         } else if (arg == "--replay-length") {
-            opts.sim.replayLength =
-                static_cast<unsigned>(std::stoul(next()));
+            opts.sim.replayLength = static_cast<unsigned>(util::parseCountArg(
+                "--replay-length", next(), 0, UINT_MAX));
         } else if (arg == "--max-dropped-snapshots") {
             opts.sim.maxDroppedSnapshots =
-                static_cast<size_t>(std::stoull(next()));
+                util::parseCountArg("--max-dropped-snapshots", next());
         } else if (arg == "--replay-timeout") {
-            opts.sim.replayTimeoutCycles = std::stoull(next());
+            opts.sim.replayTimeoutCycles =
+                util::parseCountArg("--replay-timeout", next());
         } else if (arg == "--backend") {
             const std::string &name = next();
             if (!sim::parseBackend(name, &opts.sim.backend)) {
@@ -791,8 +799,6 @@ parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
                              name.c_str());
                 return false;
             }
-        } else if (arg == "--sim-threads") {
-            sim::setSimThreads(static_cast<unsigned>(std::stoul(next())));
         } else if (arg.rfind("--", 0) == 0 || arg.rfind("-", 0) == 0) {
             std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
             return false;

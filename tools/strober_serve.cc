@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -464,16 +465,6 @@ parseDurationArg(const char *flag, const std::string &text)
     return *ms;
 }
 
-unsigned long
-parseCountArg(const char *flag, const std::string &text)
-{
-    std::optional<unsigned long> n = util::parseULong(text);
-    if (!n.has_value())
-        fatal("%s: '%s' is not a non-negative integer", flag,
-              text.c_str());
-    return *n;
-}
-
 } // namespace
 
 int
@@ -496,35 +487,36 @@ main(int argc, char **argv)
         } else if (arg == "--cache-dir") {
             dcfg.cacheDir = next();
         } else if (arg == "--runners") {
-            dcfg.runners =
-                static_cast<unsigned>(parseCountArg("--runners", next()));
+            dcfg.runners = util::parseWorkerCountArg("--runners", next());
         } else if (arg == "--max-queue") {
-            dcfg.maxQueue = parseCountArg("--max-queue", next());
+            dcfg.maxQueue = util::parseCountArg("--max-queue", next());
         } else if (arg == "--default-deadline") {
             dcfg.defaultDeadlineMs =
                 parseDurationArg("--default-deadline", next());
         } else if (arg == "--workers") {
             opts.defaultWorkers =
-                static_cast<unsigned>(parseCountArg("--workers", next()));
+                util::parseWorkerCountArg("--workers", next());
         } else if (arg == "--worker-wall-cap") {
             opts.workerWallCapMs =
                 parseDurationArg("--worker-wall-cap", next());
         } else if (arg == "--worker-rss-mb") {
-            opts.workerRssMb = parseCountArg("--worker-rss-mb", next());
+            opts.workerRssMb =
+                util::parseCountArg("--worker-rss-mb", next());
         } else if (arg == "--worker-retries") {
-            opts.workerRetries = static_cast<unsigned>(
-                parseCountArg("--worker-retries", next()));
+            opts.workerRetries = static_cast<unsigned>(util::parseCountArg(
+                "--worker-retries", next(), 0, UINT_MAX));
         } else if (arg == "--lease-duration") {
             opts.leaseDurationMs =
                 parseDurationArg("--lease-duration", next());
         } else if (arg == "--trim-keep") {
-            dcfg.trim.keepCount = parseCountArg("--trim-keep", next());
+            dcfg.trim.keepCount =
+                util::parseCountArg("--trim-keep", next());
         } else if (arg == "--trim-max-age") {
             dcfg.trim.maxAgeSeconds =
                 parseDurationArg("--trim-max-age", next()) / 1000;
         } else if (arg == "--trim-max-bytes") {
             dcfg.trim.maxTotalBytes =
-                parseCountArg("--trim-max-bytes", next());
+                util::parseCountArg("--trim-max-bytes", next());
         } else if (arg == "--farm-bin") {
             opts.farmBin = next();
         } else {
